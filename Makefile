@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmt-check bench-smoke bench bench-guard metrics-lint chaos fuzz-smoke eval eval-smoke ci
+.PHONY: build test race vet fmt-check bench-smoke bench bench-guard metrics-lint chaos fuzz-smoke eval eval-smoke perfbench-check ci
 
 # Where `make bench` writes its aggregated measurements.
 BENCH_OUT ?= BENCH_pr10.json
@@ -117,4 +117,10 @@ eval:
 eval-smoke:
 	$(GO) run ./cmd/evalab -scale small -baselines -max-queries 3 -out /tmp/EVAL_smoke.json
 
-ci: vet fmt-check build race chaos bench-smoke bench-guard metrics-lint fuzz-smoke eval-smoke
+# The benchmark harness is a nested module, so the root `go build ./...`
+# never compiles it: an API change in the engine could break it
+# silently. Vet it and run its short self-test against this checkout.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test -short ./...
+
+ci: vet fmt-check build race chaos bench-smoke bench-guard metrics-lint fuzz-smoke eval-smoke perfbench-check

@@ -12,6 +12,7 @@ package pqsda
 
 import (
 	"bytes"
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -175,7 +176,7 @@ func BenchmarkSuggestPersonalized(b *testing.B) {
 	now := time.Now()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Suggest(users[i%len(users)], qs[i%len(qs)], nil, now, 10); err != nil {
+		if _, err := e.Do(context.Background(), core.SuggestRequest{User: users[i%len(users)], Query: qs[i%len(qs)], At: now, K: 10}); err != nil {
 			b.Fatal(err)
 		}
 	}

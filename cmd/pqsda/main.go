@@ -20,6 +20,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"os"
@@ -32,6 +33,7 @@ import (
 	"repro/internal/admission"
 	"repro/internal/core"
 	"repro/internal/server"
+	"repro/internal/snapwire"
 )
 
 func main() {
@@ -47,7 +49,6 @@ func main() {
 		topics    = flag.Int("topics", 10, "UPM topic count")
 		verbose   = flag.Bool("v", false, "print stage diagnostics")
 		workers   = flag.Int("workers", 1, "parallel workers for every compute stage: UPM training, the Eq. 15 CG solve, and hitting-time sweeps (results are identical at any count)")
-		precision = flag.String("precision", "float64", "floating-point width of the CG-solve and hitting-sweep kernels: float64 (bit-exact reference) or float32 (~half the kernel memory traffic; the CG solve self-verifies and falls back to float64 on ill-conditioned systems)")
 		serve     = flag.String("serve", "", "serve the HTTP suggestion API on this address instead of the CLI")
 		reqTimout = flag.Duration("request-timeout", 5*time.Second, "per-request suggestion deadline for -serve (0 disables; overruns return 504)")
 		slowQuery = flag.Duration("slow-query", 250*time.Millisecond, "log the full trace of any suggestion slower than this (0 disables)")
@@ -148,7 +149,6 @@ func main() {
 			DiversificationOnly: *user == "" && *serve == "" && *savePath == "" && *snapSave == "",
 			RefreshMode:         *refrMode,
 			Strategy:            *strategy,
-			Precision:           *precision,
 			CompactCache:        compactCacheSize(*compCache),
 		})
 		if err != nil {
@@ -161,21 +161,17 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if err := os.WriteFile(*snapSave, img, 0o644); err != nil {
+		if err := snapwire.WriteFileAtomic(*snapSave, func(w io.Writer) error {
+			_, err := w.Write(img)
+			return err
+		}); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "snapshot written to %s (%d bytes)\n", *snapSave, len(img))
 	}
 
 	if *savePath != "" {
-		f, err := os.Create(*savePath)
-		if err != nil {
-			fatal(err)
-		}
-		if err := engine.Save(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := snapwire.WriteFileAtomic(*savePath, engine.Save); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "engine saved to %s\n", *savePath)

@@ -115,7 +115,10 @@ func convert(in, outPath string, out io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("converting %s: %w", in, err)
 	}
-	if err := os.WriteFile(outPath, img, 0o644); err != nil {
+	if err := snapwire.WriteFileAtomic(outPath, func(w io.Writer) error {
+		_, err := w.Write(img)
+		return err
+	}); err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "%s (%d bytes gob) -> %s (%d bytes snapwire v%d)\n",

@@ -3,6 +3,7 @@ package pqsda
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -71,5 +72,23 @@ func TestFacadeExplainAndLearnUser(t *testing.T) {
 	}
 	if len(ex.Candidates) == 0 {
 		t.Fatal("no explained candidates")
+	}
+}
+
+// Config.Precision only accepts float64: the float32 kernels are gone,
+// and asking for them (or for any other width) is a configuration
+// error rather than a silent float64 run.
+func TestNewEnginePrecision(t *testing.T) {
+	w := facadeWorld(t)
+	for _, p := range []string{"float32", "f32", "bogus"} {
+		_, err := NewEngine(w.Log, Config{CompactBudget: 30, DiversificationOnly: true, Precision: p})
+		if err == nil || !strings.Contains(err.Error(), "float32 kernels were removed") {
+			t.Errorf("Precision %q: err = %v, want the removal error", p, err)
+		}
+	}
+	for _, p := range []string{"", "float64"} {
+		if _, err := NewEngine(w.Log, Config{CompactBudget: 30, DiversificationOnly: true, Precision: p}); err != nil {
+			t.Errorf("Precision %q: %v", p, err)
+		}
 	}
 }

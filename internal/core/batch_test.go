@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/querylog"
-	"repro/internal/sparse"
 )
 
 // batchQueries returns n distinct frequent queries for batch fixtures.
@@ -174,39 +173,5 @@ func TestDoBatchMixed(t *testing.T) {
 	}
 	if !errors.Is(errs[4], ErrNotCached) {
 		t.Errorf("cached-only miss: err = %v", errs[4])
-	}
-}
-
-// TestDoBatchFloat32MatchesFloat64: the reduced-precision engine path
-// must produce the same suggestion lists (selection runs on relative
-// order, which survives ~1e-7 relative error by a wide margin here).
-func TestDoBatchFloat32MatchesFloat64(t *testing.T) {
-	w := testWorld(t)
-	e64 := testEngine(t, w, true)
-	e32 := testEngine(t, w, true)
-	e32.cfg.Regularize.Solver.Precision = sparse.PrecisionFloat32
-	e32.cfg.Hitting.Precision = sparse.PrecisionFloat32
-	if err := e32.initStrategies(); err != nil { // rebuild strategy table with f32 hitting config
-		t.Fatal(err)
-	}
-	at := time.Now()
-	for _, q := range batchQueries(t, e64, 4) {
-		req := SuggestRequest{Query: q, At: at, K: 5, NoCache: true}
-		r64, err64 := e64.Do(context.Background(), req)
-		r32, err32 := e32.Do(context.Background(), req)
-		if (err64 == nil) != (err32 == nil) {
-			t.Fatalf("%q: f64 err %v, f32 err %v", q, err64, err32)
-		}
-		if err64 != nil {
-			continue
-		}
-		if len(r64.Suggestions) != len(r32.Suggestions) {
-			t.Fatalf("%q: f32 gave %d suggestions, f64 %d", q, len(r32.Suggestions), len(r64.Suggestions))
-		}
-		for i := range r64.Suggestions {
-			if r64.Suggestions[i] != r32.Suggestions[i] {
-				t.Fatalf("%q suggestion %d: f32 %q, f64 %q", q, i, r32.Suggestions[i], r64.Suggestions[i])
-			}
-		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -27,7 +28,7 @@ func TestSuggestConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 4; i++ {
-				_, err := e.Suggest(users[(g+i)%len(users)], queries[(g*3+i)%len(queries)], nil, time.Now(), 5)
+				_, err := e.Do(context.Background(), SuggestRequest{User: users[(g+i)%len(users)], Query: queries[(g*3+i)%len(queries)], K: 5})
 				if err != nil && err != ErrUnknownQuery {
 					errs <- err
 				}
@@ -49,12 +50,12 @@ func TestSuggestDeterministicAcrossCalls(t *testing.T) {
 	q := pickQuery(t, w)
 	user := w.UserIDs()[1]
 	at := time.Now()
-	first, err := e.Suggest(user, q, nil, at, 8)
+	first, err := e.Do(context.Background(), SuggestRequest{User: user, Query: q, At: at, K: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		again, err := e.Suggest(user, q, nil, at, 8)
+		again, err := e.Do(context.Background(), SuggestRequest{User: user, Query: q, At: at, K: 8})
 		if err != nil {
 			t.Fatal(err)
 		}

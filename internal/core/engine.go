@@ -161,12 +161,6 @@ type Result struct {
 	// produced this list was blocked with: 1 on the single-request path,
 	// the solve-group size under DoBatch, 0 on cache hits.
 	SolveBatchSize int
-	// SolveRefinements counts float32 inner solves when the engine runs
-	// the solver in reduced precision (see sparse.SolveOptions.Precision).
-	SolveRefinements int
-	// SolveFellBack reports that the reduced-precision solve stalled and
-	// finished in float64 via the iterative-refinement fallback.
-	SolveFellBack bool
 	// HittingRounds is the number of Algorithm-1 greedy rounds run
 	// (zero on cache hits).
 	HittingRounds int
@@ -319,8 +313,6 @@ func (e *Engine) suggestDiversifiedOn(ctx context.Context, snap *snapshot.Snapsh
 	res.SolveIterations = reg.Iterations
 	res.SolveResidual = reg.Residual
 	res.SolveBatchSize = 1
-	res.SolveRefinements = reg.Refinements
-	res.SolveFellBack = reg.FellBack
 	sp.SetAttr("cgIterations", reg.Iterations)
 	sp.SetAttr("residual", reg.Residual)
 	sp.End()
@@ -434,25 +426,6 @@ func (e *Engine) runSelection(ctx context.Context, snap *snapshot.Snapshot, comp
 	}
 	res.Suggestions = res.Diversified
 	return herr
-}
-
-// Suggest runs the full pipeline: diversification followed by
-// personalized re-ranking (preference scores + Borda aggregation) when
-// the engine has profiles and knows the user.
-//
-// Deprecated: use Do with a SuggestRequest; the positional form is kept
-// as a thin wrapper for source compatibility.
-func (e *Engine) Suggest(userID, query string, sctx []querylog.Entry, at time.Time, k int) (Result, error) {
-	return e.Do(context.Background(), SuggestRequest{User: userID, Query: query, Context: sctx, At: at, K: k})
-}
-
-// SuggestContext is Suggest with request-scoped cancellation threaded
-// through every stage (see SuggestDiversifiedContext).
-//
-// Deprecated: use Do with a SuggestRequest; the positional form is kept
-// as a thin wrapper for source compatibility.
-func (e *Engine) SuggestContext(ctx context.Context, userID, query string, sctx []querylog.Entry, at time.Time, k int) (Result, error) {
-	return e.Do(ctx, SuggestRequest{User: userID, Query: query, Context: sctx, At: at, K: k})
 }
 
 // LearnUser folds a (new or returning) user's search history into the

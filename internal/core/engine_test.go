@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -112,7 +113,7 @@ func TestSuggestPersonalizedReordersOnly(t *testing.T) {
 	e := testEngine(t, w, false)
 	q := pickQuery(t, w)
 	user := w.UserIDs()[0]
-	res, err := e.Suggest(user, q, nil, time.Now(), 8)
+	res, err := e.Do(context.Background(), SuggestRequest{User: user, Query: q, K: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestSuggestUnknownUserFallsBack(t *testing.T) {
 	w := testWorld(t)
 	e := testEngine(t, w, false)
 	q := pickQuery(t, w)
-	res, err := e.Suggest("total-stranger", q, nil, time.Now(), 6)
+	res, err := e.Do(context.Background(), SuggestRequest{User: "total-stranger", Query: q, K: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +230,7 @@ func TestPersonalizeRanksOwnFacetHigher(t *testing.T) {
 		if !headFacets[userFacet] {
 			continue
 		}
-		res, err := e.Suggest(u, head, nil, time.Now(), 10)
+		res, err := e.Do(context.Background(), SuggestRequest{User: u, Query: head, K: 10})
 		if err != nil {
 			continue
 		}

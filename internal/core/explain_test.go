@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 )
@@ -12,7 +13,7 @@ func TestExplainMatchesSuggest(t *testing.T) {
 	user := w.UserIDs()[0]
 	at := time.Now()
 
-	res, err := e.Suggest(user, q, nil, at, 8)
+	res, err := e.Do(context.Background(), SuggestRequest{User: user, Query: q, At: at, K: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,9 +60,8 @@ type SuggestRequest struct {
 // no fresh cache entry (or when the engine has no cache at all).
 var ErrNotCached = errors.New("core: no cached diversified list for this request")
 
-// Do runs the suggestion pipeline for one request. It is the primary
-// entry point; the positional Suggest/SuggestContext signatures are
-// deprecated wrappers around it.
+// Do runs the suggestion pipeline for one request. It is the engine's
+// entry point; the request's ctx cancels every stage.
 //
 // When the engine has a cache (EnableCache), the expensive
 // user-INDEPENDENT part — compact build, Eq. 15 CG solve, hitting-time

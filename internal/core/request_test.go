@@ -29,29 +29,24 @@ func frequentQueries(t *testing.T, l *querylog.Log, min int) []string {
 	return out
 }
 
-// Do must produce exactly what the deprecated positional wrappers
-// produce — they are documented as thin shims over it.
-func TestDoMatchesDeprecatedSignatures(t *testing.T) {
+// Do stamps the build generation on its result, and a request-level
+// SkipPersonalization returns the diversified order even with profiles
+// present.
+func TestDoSkipPersonalization(t *testing.T) {
 	w := testWorld(t)
 	e := testEngine(t, w, false)
 	q := pickQuery(t, w)
 	user := w.UserIDs()[0]
 	at := time.Now()
 
-	old, err1 := e.Suggest(user, q, nil, at, 8)
-	res, err2 := e.Do(context.Background(), SuggestRequest{User: user, Query: q, At: at, K: 8})
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
-	}
-	if !reflect.DeepEqual(old.Suggestions, res.Suggestions) || !reflect.DeepEqual(old.Diversified, res.Diversified) {
-		t.Fatalf("Do diverged from Suggest:\n%v\n%v", res.Suggestions, old.Suggestions)
+	res, err := e.Do(context.Background(), SuggestRequest{User: user, Query: q, At: at, K: 8})
+	if err != nil {
+		t.Fatal(err)
 	}
 	if res.Generation != 1 {
 		t.Fatalf("generation = %d at build", res.Generation)
 	}
 
-	// SkipPersonalization returns the diversified order even with
-	// profiles present.
 	skip, err := e.Do(context.Background(), SuggestRequest{User: user, Query: q, At: at, K: 8, SkipPersonalization: true})
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"testing"
 	"time"
 
@@ -52,7 +53,7 @@ func TestEngineSingleUser(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := pickQuery(t, w)
-	res, err := e.Suggest(w.UserIDs()[0], q, nil, time.Now(), 5)
+	res, err := e.Do(context.Background(), SuggestRequest{User: w.UserIDs()[0], Query: q, K: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

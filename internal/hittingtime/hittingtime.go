@@ -40,11 +40,9 @@ type Config struct {
 	// goroutines (≤ 1 sequential). Selections are bit-identical for any
 	// worker count — see randomwalk.TruncatedHittingTimeFlat.
 	Workers int
-	// Precision selects the sweep kernel's arithmetic width. Float32
-	// halves the memory traffic of each sweep (the kernel is bandwidth
-	// bound); hitting times drive a greedy argmax, so ~1e-7 relative
-	// error is far below the gaps the selection discriminates on.
-	// Defaults to float64.
+	// Precision is read by nothing: every sweep runs in float64.
+	//
+	// Deprecated: leave unset.
 	Precision sparse.Precision
 }
 
@@ -315,12 +313,11 @@ func (w *Walker) effectiveWorkers() int {
 // returning the (scratch-aliased) hitting times and the sweeps run.
 func (w *Walker) hit(sc *selectScratch) ([]float64, int) {
 	return randomwalk.TruncatedHittingTimeFlat(w.trans, sc.inS, randomwalk.HittingTimeOpts{
-		Steps:     w.cfg.Iterations,
-		Tol:       w.cfg.Tolerance,
-		Workers:   w.effectiveWorkers(),
-		Dangling:  w.dangling,
-		Scratch:   &sc.sweep,
-		Precision: w.cfg.Precision,
+		Steps:    w.cfg.Iterations,
+		Tol:      w.cfg.Tolerance,
+		Workers:  w.effectiveWorkers(),
+		Dangling: w.dangling,
+		Scratch:  &sc.sweep,
 	})
 }
 

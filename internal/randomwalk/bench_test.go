@@ -55,24 +55,6 @@ func BenchmarkHittingTimeFlat(b *testing.B)         { benchmarkFlat(b, 1) }
 func BenchmarkHittingTimeFlatWorkers4(b *testing.B) { benchmarkFlat(b, 4) }
 func BenchmarkHittingTimeFlatWorkers8(b *testing.B) { benchmarkFlat(b, 8) }
 
-// BenchmarkHittingTimeFlatFloat32 is the same kernel on the float32
-// value mirror — the precision split of the bench suite. The win is
-// memory-bandwidth-bound: it grows with the transition matrix, so on
-// this L2-resident fixture it reads as a lower bound.
-func BenchmarkHittingTimeFlatFloat32(b *testing.B) {
-	trans, inS, dangling := benchFixture()
-	trans.Prewarm32()
-	scratch := &SweepScratch{}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		TruncatedHittingTimeFlat(trans, inS, HittingTimeOpts{
-			Steps: benchL, Dangling: dangling, Scratch: scratch,
-			Precision: sparse.PrecisionFloat32,
-		})
-	}
-}
-
 // BenchmarkHittingTimeSteadyState is the allocation guard (`make
 // bench-guard` fails the build if this ever allocates): the flat
 // kernel on the sequential path with caller scratch and precomputed
@@ -115,15 +97,12 @@ func BenchmarkHittingTimeSeedMap(b *testing.B) {
 
 // --- Beyond-L2 fixture ----------------------------------------------
 //
-// The 2,000-node fixture above fits in L2, so the float32 sweep reads
-// as a wash there (with every stream cache-resident there is no
-// bandwidth to save). This fixture is sized past any L2/L3 slice on
-// the fleet: ~524k nodes at ~8.5 nonzeros per row is ≈4M nnz — a
-// ~80 MiB float64 sweep working set (colidx + val + rowptr + three
+// The 2,000-node fixture above fits in L2. This fixture is sized past
+// any L2/L3 slice on the fleet: ~524k nodes at ~8.5 nonzeros per row is
+// ≈4M nnz — a ~80 MiB sweep working set (colidx + val + rowptr + three
 // vectors), with the h-vector gather target alone at 4 MiB. Sweeps
-// stream from memory and the gathers miss cache, so the value-width
-// split becomes measurable (~1.2x on the reference box: float32 halves
-// both the value stream and the gather footprint).
+// stream from memory and the gathers miss cache, so this measures the
+// memory-bound regime.
 
 const llcN, llcDeg = 1 << 19, 16
 
@@ -143,33 +122,23 @@ func llcFixture() (*sparse.Matrix, []bool, []float64) {
 			llcInS[rng.Intn(llcN-1000)] = true
 		}
 		llcDangling = DanglingMass(llcTrans)
-		llcTrans.Prewarm32()
 	})
 	return llcTrans, llcInS, llcDangling
 }
 
-func benchmarkLLC(b *testing.B, precision sparse.Precision) {
+// BenchmarkHittingTimeLLC is the sweep on the beyond-L2 fixture — the
+// memory-bound baseline.
+func BenchmarkHittingTimeLLC(b *testing.B) {
 	trans, inS, dangling := llcFixture()
 	view := trans.View()
 	nnz := len(view.Val)
 	b.SetBytes(int64(benchL * nnz * 16)) // colidx + float64 val per sweep
 	scratch := &SweepScratch{}
-	opts := HittingTimeOpts{
-		Steps: benchL, Dangling: dangling, Scratch: scratch, Precision: precision,
-	}
-	TruncatedHittingTimeFlat(trans, inS, opts) // warm scratch + mirrors
+	opts := HittingTimeOpts{Steps: benchL, Dangling: dangling, Scratch: scratch}
+	TruncatedHittingTimeFlat(trans, inS, opts) // warm scratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		TruncatedHittingTimeFlat(trans, inS, opts)
 	}
 }
-
-// BenchmarkHittingTimeLLC is the float64 sweep on the beyond-L2
-// fixture — the memory-bound baseline.
-func BenchmarkHittingTimeLLC(b *testing.B) { benchmarkLLC(b, sparse.PrecisionFloat64) }
-
-// BenchmarkHittingTimeLLCFloat32 is the same sweep on the float32
-// value mirror: half the value-stream traffic, which is most of the
-// per-sweep bytes at this size.
-func BenchmarkHittingTimeLLCFloat32(b *testing.B) { benchmarkLLC(b, sparse.PrecisionFloat32) }

@@ -166,11 +166,6 @@ func DanglingMass(trans *sparse.Matrix) []float64 {
 // consume it (or copy it out) before the next sweep reuses the buffers.
 type SweepScratch struct {
 	h, next []float64
-
-	// float32 counterparts, only materialized when a sweep runs with
-	// Precision == sparse.PrecisionFloat32 (plus the narrowed dangling
-	// mass — converted per run, it is O(n) against the sweep's O(l·nnz)).
-	h32, next32, dangling32 []float32
 }
 
 // Resize readies the scratch for n-node sweeps, reallocating only when
@@ -183,20 +178,6 @@ func (s *SweepScratch) Resize(n int) {
 	}
 	s.h = s.h[:n]
 	s.next = s.next[:n]
-}
-
-// resize32 readies the float32 buffers (lazily — float64 sweeps never
-// pay for them).
-func (s *SweepScratch) resize32(n int) {
-	if cap(s.h32) < n {
-		s.h32 = make([]float32, n)
-		s.next32 = make([]float32, n)
-		s.dangling32 = make([]float32, n)
-		return
-	}
-	s.h32 = s.h32[:n]
-	s.next32 = s.next32[:n]
-	s.dangling32 = s.dangling32[:n]
 }
 
 // HittingTimeOpts tunes TruncatedHittingTimeFlat.
@@ -225,14 +206,6 @@ type HittingTimeOpts struct {
 	// Scratch provides the sweep's two n-vectors. Nil allocates fresh
 	// ones.
 	Scratch *SweepScratch
-	// Precision selects the sweep arithmetic. Float32 runs the inner
-	// loop on the matrix's float32 value mirror at half the memory
-	// traffic; the returned hitting times are widened back to float64.
-	// Hitting times are only compared against each other (greedy
-	// argmax), so float32's ~7 significant digits over values bounded
-	// by Steps are ample — the tolerance-bounded parity test pins the
-	// error down.
-	Precision sparse.Precision
 }
 
 // TruncatedHittingTimeFlat is the hot-path form of
@@ -256,9 +229,6 @@ func TruncatedHittingTimeFlat(trans *sparse.Matrix, inS []bool, opts HittingTime
 		scratch = &SweepScratch{}
 	}
 	scratch.Resize(n)
-	if opts.Precision == sparse.PrecisionFloat32 {
-		return hittingTimeFlat32(trans, inS, dangling, scratch, opts)
-	}
 	h, next := scratch.h, scratch.next
 	for i := range h {
 		h[i] = 0
@@ -282,45 +252,6 @@ func TruncatedHittingTimeFlat(trans *sparse.Matrix, inS []bool, opts HittingTime
 	}
 	scratch.h, scratch.next = h, next
 	return h, iters
-}
-
-// hittingTimeFlat32 is the float32 sweep body: the identical recursion
-// on the matrix's float32 value mirror, widened into scratch.h on
-// return so callers see the usual []float64.
-func hittingTimeFlat32(trans *sparse.Matrix, inS []bool, dangling []float64, scratch *SweepScratch, opts HittingTimeOpts) ([]float64, int) {
-	n := trans.Rows()
-	scratch.resize32(n)
-	h, next := scratch.h32, scratch.next32
-	for i := range h {
-		h[i] = 0
-	}
-	d32 := scratch.dangling32
-	for i, v := range dangling {
-		d32[i] = float32(v)
-	}
-	view := trans.View32()
-	workers := opts.Workers
-	parallel := workers > 1 && n >= 4*workers && trans.NNZ() >= 4096
-	iters := 0
-	for t := 0; t < opts.Steps; t++ {
-		var maxDiff float64
-		if parallel {
-			maxDiff = sweepParallel32(view, d32, inS, h, next, workers)
-		} else {
-			maxDiff = sweepRange32(0, n, view, d32, inS, h, next)
-		}
-		h, next = next, h
-		iters = t + 1
-		if opts.Tol > 0 && maxDiff <= opts.Tol {
-			break
-		}
-	}
-	scratch.h32, scratch.next32 = h, next
-	out := scratch.h
-	for i := range out {
-		out[i] = float64(h[i])
-	}
-	return out, iters
 }
 
 // sweepRange runs one hitting-time sweep over rows [lo, hi), reading h
@@ -394,78 +325,6 @@ func sweepParallel(view sparse.CSRView, dangling []float64, inS []bool, h, next 
 		go func(w, lo, hi int) {
 			defer wg.Done()
 			diffs[w] = sweepRange(lo, hi, view, dangling, inS, h, next)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	maxDiff := 0.0
-	for _, d := range diffs {
-		if d > maxDiff {
-			maxDiff = d
-		}
-	}
-	return maxDiff
-}
-
-// sweepRange32 is sweepRange on the float32 value mirror: identical
-// structure (four accumulators, dangling self-loop, max-diff tracking),
-// float32 arithmetic. The convergence metric is returned as float64 so
-// the shared early-exit comparison is unchanged.
-func sweepRange32(lo, hi int, view sparse.CSRView32, dangling []float32, inS []bool, h, next []float32) float64 {
-	rowPtr, colIdx, val := view.RowPtr, view.ColIdx, view.Val
-	var maxDiff float32
-	for i := lo; i < hi; i++ {
-		if inS[i] {
-			next[i] = 0
-			continue
-		}
-		start, end := rowPtr[i], rowPtr[i+1]
-		cols, vals := colIdx[start:end], val[start:end]
-		var s0, s1, s2, s3 float32
-		p := 0
-		for ; p+4 <= len(vals); p += 4 {
-			s0 += vals[p] * h[cols[p]]
-			s1 += vals[p+1] * h[cols[p+1]]
-			s2 += vals[p+2] * h[cols[p+2]]
-			s3 += vals[p+3] * h[cols[p+3]]
-		}
-		for ; p < len(vals); p++ {
-			s0 += vals[p] * h[cols[p]]
-		}
-		s := 1.0 + ((s0 + s1) + (s2 + s3))
-		if d := dangling[i]; d != 0 {
-			s += d * h[i]
-		}
-		next[i] = s
-		diff := s - h[i]
-		if diff < 0 {
-			diff = -diff
-		}
-		if diff > maxDiff {
-			maxDiff = diff
-		}
-	}
-	return float64(maxDiff)
-}
-
-// sweepParallel32 mirrors sweepParallel for the float32 kernel.
-func sweepParallel32(view sparse.CSRView32, dangling []float32, inS []bool, h, next []float32, workers int) float64 {
-	n := len(inS)
-	chunk := (n + workers - 1) / workers
-	diffs := make([]float64, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			diffs[w] = sweepRange32(lo, hi, view, dangling, inS, h, next)
 		}(w, lo, hi)
 	}
 	wg.Wait()

@@ -49,16 +49,13 @@ func TestBatchGroupedOneGateSlotPerSolveGroup(t *testing.T) {
 	}
 
 	// The solve-shape telemetry saw one blocked solve of 8 right-hand
-	// sides, and no precision fallbacks (the engine runs float64 here).
+	// sides.
 	snap := srv.tel.solveBatchSize.Snapshot()
 	if snap.Count != 1 {
 		t.Errorf("solve_batch_size samples = %d, want 1 (one observation per blocked solve)", int64(snap.Count))
 	}
 	if snap.Max != float64(len(reqs)) {
 		t.Errorf("solve_batch_size max = %v, want %d", snap.Max, len(reqs))
-	}
-	if n := srv.stats.precisionFallbacks.Load(); n != 0 {
-		t.Errorf("precision fallbacks = %d on a float64 engine", n)
 	}
 }
 

@@ -235,23 +235,58 @@ func TestSuggestDeadline504(t *testing.T) {
 	}
 }
 
-// TestLearnHotSwap checks /api/learn follows the same clone→swap
-// discipline: the pre-learn engine is never mutated.
+// TestLearnHotSwap: /v1/learn publishes the folded-in profiles as a new
+// snapshot of the serving engine at the same generation. A snapshot
+// captured before the learn is untouched, the live engine sees the new
+// profile, and the suggestion cache survives: a key cached before the
+// learn is still a hit after it, personalized with the new profile
+// exactly as an uncached run would be.
 func TestLearnHotSwap(t *testing.T) {
 	srv, ts, w := personalizedServer(t)
+	srv.Engine().EnableCache(64, 0)
 	q := pickKnownQuery(t, w)
-	before := srv.Engine()
+	suggest := func(noCache bool) SuggestResponse {
+		t.Helper()
+		u := ts.URL + "/v1/suggest?user=visitor&k=5&q=" + url.QueryEscape(q)
+		if noCache {
+			u += "&nocache=1"
+		}
+		var out SuggestResponse
+		if code := getJSON(t, u, &out); code != 200 {
+			t.Fatalf("suggest: status %d", code)
+		}
+		return out
+	}
+	if first := suggest(false); first.Cached {
+		t.Fatal("first suggest was already cached")
+	}
+	before := srv.Engine().Snapshot()
+	gen := srv.Engine().Generation()
 	for i := 0; i < 4; i++ {
 		postJSON(t, ts.URL+"/api/log", LogRequest{User: "visitor", Query: q}, nil)
 	}
 	if code := postJSON(t, ts.URL+"/api/learn", LearnRequest{User: "visitor"}, nil); code != 200 {
 		t.Fatalf("learn: status %d", code)
 	}
-	if before.Profiles().Theta("visitor") != nil {
-		t.Fatal("learn mutated the old serving engine's profiles")
+	if before.Profiles.Theta("visitor") != nil {
+		t.Fatal("learn mutated a snapshot captured before it")
 	}
 	if srv.Engine().Profiles().Theta("visitor") == nil {
-		t.Fatal("swapped engine has no profile for the learned user")
+		t.Fatal("serving engine has no profile for the learned user")
+	}
+	if got := srv.Engine().Generation(); got != gen {
+		t.Fatalf("generation %d after learn, want %d unchanged", got, gen)
+	}
+	hit := suggest(false)
+	if !hit.Cached {
+		t.Fatal("a key cached before learn missed after it")
+	}
+	fresh := suggest(true)
+	if fresh.Cached {
+		t.Fatal("nocache=1 answer reported cached")
+	}
+	if fmt.Sprint(hit.Suggestions) != fmt.Sprint(fresh.Suggestions) {
+		t.Fatalf("cached personalized answer %v, uncached %v", hit.Suggestions, fresh.Suggestions)
 	}
 }
 

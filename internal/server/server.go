@@ -5,8 +5,9 @@
 // suggestions it served.
 //
 // The serving path is non-blocking and bounded: the engine lives behind
-// an atomic pointer, mutation (refresh/learn) happens on a clone that
-// is hot-swapped in when ready, and every suggestion request carries a
+// an atomic pointer, a refresh happens on a clone that is hot-swapped
+// in when ready (a learn publishes a new snapshot of the serving engine
+// at the same generation), and every suggestion request carries a
 // context deadline threaded down to the Eq. 15 CG solve and the
 // hitting-time greedy loop. When the engine carries a suggestion cache
 // (core.Engine.EnableCache), repeated and concurrent identical
@@ -54,14 +55,17 @@ import (
 // Handler.
 type Server struct {
 	// engine is the serving engine. Suggestion requests Load it without
-	// any lock; mutators build a replacement off the serving path and
+	// any lock; refreshes build a replacement off the serving path and
 	// Store it — an in-flight request keeps using the engine it loaded,
-	// which stays valid (engines are immutable once swapped in).
+	// which stays valid. /v1/learn instead publishes a new snapshot
+	// inside the serving engine (core.Engine.LearnUser), which requests
+	// observe just as atomically.
 	engine atomic.Pointer[core.Engine]
 	// swapMu serializes the clone→mutate→swap sequences of /v1/refresh
-	// and /v1/learn against each other. The suggestion path never
-	// takes it. Serialization also keeps engine generations strictly
-	// increasing, which the suggestion cache's keying relies on.
+	// and the in-place fold-ins of /v1/learn against each other. The
+	// suggestion path never takes it. Serialization also keeps engine
+	// generations strictly increasing, which the suggestion cache's
+	// keying relies on.
 	swapMu sync.Mutex
 	// timeoutNs is the per-request suggestion deadline in nanoseconds
 	// (0 = none), settable at runtime via SetRequestTimeout.
@@ -489,30 +493,25 @@ func (s *Server) handleLearn(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, r, http.StatusNotFound, newAPIError(codeNotFound, "no recorded history for user"))
 		return
 	}
-	// Fold-in mutates the profile store, so it follows the same
-	// clone→mutate→swap discipline as refresh: suggestions keep reading
-	// the old engine until the swap.
+	// LearnUser publishes the folded-in profiles as a new snapshot of
+	// the serving engine at the SAME generation, so the suggestion and
+	// compact caches stay valid (they hold user-independent state) and
+	// in-flight suggestions keep the snapshot they loaded. swapMu keeps
+	// the fold-in from racing a refresh that is replacing the engine.
 	s.swapMu.Lock()
 	defer s.swapMu.Unlock()
 	cur := s.engine.Load()
-	if cur.Profiles() == nil {
-		writeAPIError(w, r, http.StatusConflict, newAPIError(codeConflict, "core: engine built without personalization"))
-		return
-	}
-	next := cur.Clone()
-	if err := next.LearnUser(req.User, entries); err != nil {
+	if err := cur.LearnUser(req.User, entries); err != nil {
 		writeAPIError(w, r, http.StatusConflict, newAPIError(codeConflict, err.Error()))
 		return
 	}
-	s.engine.Store(next)
-	s.stats.swaps.Add(1)
 	s.Logger().LogAttrs(r.Context(), slog.LevelInfo, "user folded in",
 		slog.String("requestId", obs.RequestIDFrom(r.Context())),
 		slog.String("user", req.User),
 		slog.Int("entries", len(entries)),
-		slog.Uint64("generation", next.Generation()))
+		slog.Uint64("generation", cur.Generation()))
 	writeJSON(w, http.StatusOK, map[string]any{
-		"status": "learned", "entries": len(entries), "generation": next.Generation(),
+		"status": "learned", "entries": len(entries), "generation": cur.Generation(),
 	})
 }
 
@@ -555,7 +554,7 @@ type SuggestResponse struct {
 	CompactSize int      `json:"compactSize"`
 	ElapsedMS   float64  `json:"elapsedMs"`
 	// Generation identifies the engine snapshot that answered; it bumps
-	// on every refresh/learn hot-swap.
+	// on every refresh hot-swap (a learn keeps it).
 	Generation uint64 `json:"generation"`
 	// Cached reports the diversified list came from the suggestion
 	// cache (personalization still ran fresh for this user).

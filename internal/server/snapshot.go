@@ -49,7 +49,7 @@ func (s *Server) handleSnapshotGet(w http.ResponseWriter, r *http.Request) {
 
 // handleSnapshotPost checksum-verifies the posted image, assembles the
 // flat-backed snapshot, and swaps it into the serving engine under the
-// same lock the refresh/learn swaps take. The adopted snapshot gets
+// same lock refreshes and learns take. The adopted snapshot gets
 // the next generation, so every generation-keyed cache invalidates.
 func (s *Server) handleSnapshotPost(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()

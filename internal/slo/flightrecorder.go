@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -22,8 +23,8 @@ import (
 // aftermath.
 //
 // Recording must cost nothing on the hot path: a slot is claimed with
-// one atomic add, the event is copied in under a per-slot seqlock (two
-// more atomic adds), and the event struct is all fixed-size fields —
+// one atomic add, the event is copied in under an uncontended per-slot
+// mutex, and the event struct is all fixed-size fields —
 // IDs and the strategy name are inlined byte arrays, not strings — so
 // Record performs zero heap allocations (BenchmarkFlightRecorderEmit
 // guards this in CI).
@@ -140,12 +141,14 @@ func (e *WideEvent) RequestIDString() string { return idString(e.RequestID[:]) }
 func (e *WideEvent) TraceIDString() string   { return idString(e.TraceID[:]) }
 func (e *WideEvent) StrategyString() string  { return idString(e.Strategy[:]) }
 
-// slot is one ring entry under a seqlock: version is odd while a writer
-// is copying, and bumps by 2 per publication, so a reader that sees the
-// same even version before and after its copy has a consistent event.
+// slot is one ring entry. The mutex is held only for the fixed-size
+// copy in or out: a seqlock would skip it, but its unsynchronized read
+// of ev racing a writer is a data race under the Go memory model (and
+// two writers a full ring apart could tear the event), so the lock is
+// what makes every returned event whole.
 type slot struct {
-	version atomic.Uint64
-	ev      WideEvent
+	mu sync.Mutex
+	ev WideEvent
 }
 
 // FlightRecorder is the fixed-size wide-event ring.
@@ -191,15 +194,14 @@ func (r *FlightRecorder) Record(ev *WideEvent) {
 	n := r.seq.Add(1)
 	s := &r.slots[int((n-1)%uint64(len(r.slots)))]
 	ev.Seq = n
-	s.version.Add(1) // odd: write in progress
+	s.mu.Lock()
 	s.ev = *ev
-	s.version.Add(1) // even: published
+	s.mu.Unlock()
 }
 
-// Events returns a consistent copy of the ring's contents, oldest
-// first. Slots mid-write (or overwritten during the copy) are skipped —
-// under concurrent load the dump is a near-exact window, never a torn
-// record.
+// Events returns a copy of the ring's contents, oldest first. Under
+// concurrent load the dump is a near-exact window (slots overwritten
+// while the copy walks the ring hold newer events), never a torn record.
 func (r *FlightRecorder) Events() []WideEvent {
 	if r == nil {
 		return nil
@@ -207,16 +209,11 @@ func (r *FlightRecorder) Events() []WideEvent {
 	out := make([]WideEvent, 0, len(r.slots))
 	for i := range r.slots {
 		s := &r.slots[i]
-		for attempt := 0; attempt < 3; attempt++ {
-			v1 := s.version.Load()
-			if v1 == 0 || v1%2 == 1 {
-				break // never written, or a writer is mid-copy
-			}
-			ev := s.ev
-			if s.version.Load() == v1 {
-				out = append(out, ev)
-				break
-			}
+		s.mu.Lock()
+		ev := s.ev
+		s.mu.Unlock()
+		if ev.Seq != 0 { // 0: never written
+			out = append(out, ev)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })

@@ -157,7 +157,7 @@ func TestFlightRecorderDumpToDir(t *testing.T) {
 }
 
 func TestFlightRecorderConcurrent(t *testing.T) {
-	// Race-detector coverage of the seqlock: writers hammering the ring
+	// Race-detector coverage of the slot locking: writers hammering the ring
 	// while readers dump it. Every event a reader returns must be
 	// internally consistent (Seq matches the payload the writer stored).
 	r := NewFlightRecorder(64)

@@ -1,43 +1,13 @@
 package sparse
 
-import "fmt"
-
-// Precision selects the arithmetic width of the iterative-solver and
-// sweep inner loops. Float64 is the default and is bit-identical to the
-// historical kernels. Float32 halves the memory traffic of the
-// bandwidth-bound SpMV/SpMM loops; accuracy is restored by iterative
-// refinement in float64 (see solveRefined32), with a full float64
-// fallback when the relative residual stalls above the configured
-// tolerance — so results are always within SolveOptions.Tol of the
-// float64 answer regardless of precision.
+// Precision named the arithmetic width of the solver and sweep kernels.
+// Every kernel is float64 now, so the type has one value.
+//
+// Deprecated: kept only so existing callers that set
+// PrecisionFloat64 still compile; nothing reads it.
 type Precision uint8
 
-const (
-	// PrecisionFloat64 runs every kernel in float64 (default).
-	PrecisionFloat64 Precision = iota
-	// PrecisionFloat32 runs SpMV/SpMM inner loops in float32 with
-	// float64 correction.
-	PrecisionFloat32
-)
-
-// String returns the flag-style name ("float64" / "float32").
-func (p Precision) String() string {
-	switch p {
-	case PrecisionFloat32:
-		return "float32"
-	default:
-		return "float64"
-	}
-}
-
-// ParsePrecision parses a flag-style precision name. The empty string
-// means float64.
-func ParsePrecision(s string) (Precision, error) {
-	switch s {
-	case "", "float64", "f64", "double":
-		return PrecisionFloat64, nil
-	case "float32", "f32", "single":
-		return PrecisionFloat32, nil
-	}
-	return PrecisionFloat64, fmt.Errorf("sparse: unknown precision %q (want float64 or float32)", s)
-}
+// PrecisionFloat64 is the only kernel width.
+//
+// Deprecated: see Precision.
+const PrecisionFloat64 Precision = 0

@@ -25,11 +25,9 @@ type SolveOptions struct {
 	// much larger datasets" remark for the Eq. 15 solver. Results are
 	// bit-identical to the sequential solve.
 	Workers int
-	// Precision selects the inner-loop arithmetic width. Float32 runs
-	// the SpMV loops at half the memory traffic and corrects the answer
-	// by float64 iterative refinement; when refinement stalls above Tol
-	// the solve falls back to a warm-started float64 CG, so the final
-	// residual contract is independent of this knob.
+	// Precision is read by nothing: every solve runs in float64.
+	//
+	// Deprecated: leave unset.
 	Precision Precision
 	// Stats, when non-nil, is filled with the solve's convergence
 	// telemetry on return (iterations, final relative residual,
@@ -48,12 +46,6 @@ type SolveStats struct {
 	// Converged reports the residual target was reached within the
 	// iteration budget.
 	Converged bool
-	// Refinements counts float64 iterative-refinement rounds run after
-	// the initial float32 solve (0 for pure float64 solves).
-	Refinements int
-	// FellBack reports the float32 path stalled above Tol and the
-	// answer was finished by a warm-started float64 CG.
-	FellBack bool
 }
 
 func (o SolveOptions) withDefaults(n int) SolveOptions {
@@ -96,18 +88,7 @@ func SolveCG(a *Matrix, b, x0 []float64, opts SolveOptions) ([]float64, int, err
 // no-ops otherwise.
 func SolveCGCtx(ctx context.Context, a *Matrix, b, x0 []float64, opts SolveOptions) ([]float64, int, error) {
 	sp := obs.StartSpan(ctx, "cg_solve")
-	var (
-		x     []float64
-		iters int
-		rel   float64
-		err   error
-		extra refineStats
-	)
-	if opts.Precision == PrecisionFloat32 {
-		x, iters, rel, extra, err = solveRefined32(ctx, a, b, x0, opts)
-	} else {
-		x, iters, rel, err = solveCG(ctx, a, b, x0, opts)
-	}
+	x, iters, rel, err := solveCG(ctx, a, b, x0, opts)
 	if sp != nil {
 		sp.SetAttr("n", a.Rows())
 		sp.SetAttr("iterations", iters)
@@ -118,26 +99,9 @@ func SolveCGCtx(ctx context.Context, a *Matrix, b, x0 []float64, opts SolveOptio
 	obs.Observe(ctx, obs.MetricCGIterations, float64(iters))
 	obs.Observe(ctx, obs.MetricCGResidual, rel)
 	if opts.Stats != nil {
-		*opts.Stats = SolveStats{
-			Iterations:  iters,
-			Residual:    rel,
-			Converged:   err == nil,
-			Refinements: extra.refinements,
-			FellBack:    extra.fellBack,
-		}
+		*opts.Stats = SolveStats{Iterations: iters, Residual: rel, Converged: err == nil}
 	}
 	return x, iters, err
-}
-
-// refineStats carries the float32 path's extra telemetry through the
-// shared wrapper above. innerSolves is the raw float32 CG solve count
-// (refinements is innerSolves-1 when the first solve counts as the
-// initial pass; the multi-RHS wrapper counts every one as a correction
-// of its blocked iterate).
-type refineStats struct {
-	refinements int
-	innerSolves int
-	fellBack    bool
 }
 
 // cgScratch holds one solve's work vectors. A cache-miss suggestion

@@ -94,125 +94,6 @@ func TestSolveCGMultiReusesDst(t *testing.T) {
 	}
 }
 
-// Both float32 paths (blocked multi-RHS and single-RHS) must satisfy
-// the same residual contract as float64 — Converged means the TRUE
-// float64 relative residual is within Tol — and land within a few
-// condition-number-amplified ulps of the float64 solution.
-func TestSolveCGFloat32Parity(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	opts64 := SolveOptions{Tol: 1e-10}
-	opts32 := SolveOptions{Tol: 1e-10, Precision: PrecisionFloat32}
-	for trial := 0; trial < 8; trial++ {
-		n := 5 + rng.Intn(60)
-		a := spdMatrix(rng, n)
-		b := rhsFor(rng, n, 5)
-
-		ref, _, err := SolveCGMulti(a, b, nil, opts64)
-		if err != nil {
-			t.Fatalf("trial %d: float64 reference failed: %v", trial, err)
-		}
-		x32, stats, err := SolveCGMulti(a, b, nil, opts32)
-		if err != nil {
-			t.Fatalf("trial %d: float32 multi failed: %v", trial, err)
-		}
-		check := func(path string, j int, x []float64, st SolveStats) {
-			t.Helper()
-			if !st.Converged {
-				t.Fatalf("trial %d %s lane %d did not converge (rel %v)", trial, path, j, st.Residual)
-			}
-			nb := norm2(b[j])
-			if nb == 0 {
-				return
-			}
-			if rel := residual(a, x, b[j]) / nb; rel > opts32.Tol*1.01 {
-				t.Fatalf("trial %d %s lane %d: true residual %v over Tol", trial, path, j, rel)
-			}
-			num, den := 0.0, 0.0
-			for i := range x {
-				d := x[i] - ref[j][i]
-				num += d * d
-				den += ref[j][i] * ref[j][i]
-			}
-			if den > 0 && math.Sqrt(num/den) > 1e-6 {
-				t.Fatalf("trial %d %s lane %d: relative error %v vs float64", trial, path, j, math.Sqrt(num/den))
-			}
-		}
-		for j := range b {
-			check("multi", j, x32[j], stats[j])
-
-			var st SolveStats
-			sopts := opts32
-			sopts.Stats = &st
-			x, _, serr := SolveCG(a, b[j], nil, sopts)
-			if serr != nil {
-				t.Fatalf("trial %d single lane %d: %v", trial, j, serr)
-			}
-			check("single", j, x, st)
-		}
-	}
-}
-
-// illConditioned builds the 2x2 system [[1,a],[a,1]] with a → 1: its
-// condition number (1+a)/(1-a) is set high enough that float32
-// refinement cannot reach Tol within its budget, while float64 CG still
-// can — exactly the case the fallback exists for.
-func illConditioned() *Matrix {
-	const a = 1 - 1e-5 // κ ≈ 2e5
-	bld := NewBuilder(2, 2)
-	bld.Add(0, 0, 1)
-	bld.Add(0, 1, a)
-	bld.Add(1, 0, a)
-	bld.Add(1, 1, 1)
-	return bld.Build()
-}
-
-// When float32 refinement stalls above Tol, the solver must fall back
-// to float64 and still satisfy the caller's tolerance — and say so in
-// the stats. Covers the single path and every lane of the blocked path.
-func TestSolveCGFloat32FallsBackWhenStalled(t *testing.T) {
-	a := illConditioned()
-	b := []float64{1, -0.5}
-	opts := SolveOptions{Tol: 1e-12, Precision: PrecisionFloat32}
-
-	var st SolveStats
-	sopts := opts
-	sopts.Stats = &st
-	x, _, err := SolveCG(a, b, nil, sopts)
-	if err != nil {
-		t.Fatalf("single: %v", err)
-	}
-	if !st.FellBack {
-		t.Fatal("single: float32 path did not fall back on an ill-conditioned system")
-	}
-	if !st.Converged {
-		t.Fatal("single: fallback did not converge")
-	}
-	// The fallback's contract is SolveCG's: its recurrence residual meets
-	// Tol; the TRUE residual drifts by O(κ·u64) ≈ 2e-11 here. Asserting
-	// float64-class accuracy still proves the fallback ran — float32
-	// alone bottoms out around κ·u32 ≈ 1e-2 on this system.
-	if rel := residual(a, x, b) / norm2(b); rel > 1e-9 {
-		t.Fatalf("single: residual %v not float64-class after fallback", rel)
-	}
-
-	bs := [][]float64{b, {0.25, 1}}
-	xs, stats, err := SolveCGMulti(a, bs, nil, opts)
-	if err != nil {
-		t.Fatalf("multi: %v", err)
-	}
-	for j := range bs {
-		if !stats[j].FellBack {
-			t.Errorf("multi lane %d: did not fall back", j)
-		}
-		if !stats[j].Converged {
-			t.Errorf("multi lane %d: not converged", j)
-		}
-		if rel := residual(a, xs[j], bs[j]) / norm2(bs[j]); rel > 1e-9 {
-			t.Errorf("multi lane %d: residual %v not float64-class", j, rel)
-		}
-	}
-}
-
 // The blocked kernel must be deterministic in the worker count, like
 // MulVecParallel: row partitioning never reorders per-row accumulation.
 func TestSolveCGMultiWorkersBitIdentical(t *testing.T) {

@@ -13,7 +13,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // Matrix is an immutable sparse matrix in compressed sparse row form.
@@ -23,16 +22,6 @@ type Matrix struct {
 	rowPtr     []int     // length rows+1
 	colIdx     []int     // length nnz
 	val        []float64 // length nnz
-
-	// val32 is a lazily-built float32 mirror of val for the reduced-
-	// precision kernels (SolveOptions.Precision). Because the matrix is
-	// immutable the mirror is computed at most once per matrix in
-	// practice; a racing double-build stores identical values, so the
-	// last-writer-wins semantics of Store are safe. The atomic.Pointer
-	// also makes the struct non-copyable by value, which `go vet`
-	// enforces — all construction in this package goes through &Matrix{}
-	// literals.
-	val32 atomic.Pointer[[]float32]
 }
 
 // Builder accumulates (row, col, value) triplets and produces a CSR Matrix.
@@ -221,34 +210,6 @@ type CSRView struct {
 func (m *Matrix) View() CSRView {
 	return CSRView{RowPtr: m.rowPtr, ColIdx: m.colIdx, Val: m.val}
 }
-
-// CSRView32 is CSRView with the values narrowed to float32, for the
-// reduced-precision kernels. RowPtr and ColIdx alias the float64
-// matrix; Val is the float32 mirror. The same aliasing rules as
-// CSRView apply.
-type CSRView32 struct {
-	RowPtr []int
-	ColIdx []int
-	Val    []float32
-}
-
-// View32 returns the matrix's CSR arrays with a float32 value mirror,
-// building the mirror on first use. Snapshot construction calls
-// Prewarm32 so serving-path calls never pay the O(nnz) conversion.
-func (m *Matrix) View32() CSRView32 {
-	if p := m.val32.Load(); p != nil {
-		return CSRView32{RowPtr: m.rowPtr, ColIdx: m.colIdx, Val: *p}
-	}
-	v := make([]float32, len(m.val))
-	for i, x := range m.val {
-		v[i] = float32(x)
-	}
-	m.val32.Store(&v)
-	return CSRView32{RowPtr: m.rowPtr, ColIdx: m.colIdx, Val: v}
-}
-
-// Prewarm32 eagerly builds the float32 value mirror (idempotent).
-func (m *Matrix) Prewarm32() { m.View32() }
 
 // FromCSR freezes already-assembled CSR arrays into a Matrix, taking
 // ownership of the slices (callers must not retain or modify them).

@@ -40,7 +40,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/querylog"
 	"repro/internal/server"
-	"repro/internal/sparse"
 	"repro/internal/synth"
 	"repro/internal/topicmodel"
 )
@@ -113,12 +112,11 @@ type Config struct {
 	// Per-request overrides go through SuggestRequest.Strategy; unknown
 	// names are rejected by NewEngine.
 	Strategy string
-	// Precision selects the floating-point width of the CG-solve and
-	// hitting-sweep inner loops: "float64" (default; bit-exact
-	// reference) or "float32" (roughly halves kernel memory traffic;
-	// ~1e-7 relative error, far below the solver tolerance, and the CG
-	// solve self-verifies in float64 and falls back when a system is
-	// too ill-conditioned for float32). Any other value is an error.
+	// Precision names the kernel arithmetic width. Every kernel runs in
+	// float64, so only "" and "float64" are accepted; any other value
+	// is an error.
+	//
+	// Deprecated: leave unset.
 	Precision string
 	// CompactCache bounds the engine's LRU of built compact
 	// representations keyed by (snapshot generation, seed IDs). A hit
@@ -148,12 +146,9 @@ func NewEngine(l *Log, cfg Config) (*Engine, error) {
 	}
 	cc.Regularize.Solver.Workers = cfg.Workers
 	cc.Hitting.Workers = cfg.Workers
-	prec, err := sparse.ParsePrecision(cfg.Precision)
-	if err != nil {
-		return nil, fmt.Errorf("pqsda: %w", err)
+	if cfg.Precision != "" && cfg.Precision != "float64" {
+		return nil, fmt.Errorf("pqsda: Precision %q: the float32 kernels were removed; only \"float64\" is supported", cfg.Precision)
 	}
-	cc.Regularize.Solver.Precision = prec
-	cc.Hitting.Precision = prec
 	if cfg.RawWeights {
 		cc.Weighting = bipartite.Raw
 	} else {
