@@ -75,8 +75,11 @@ bench-guard:
 		$(GO) run ./cmd/benchjson -guard BenchmarkSolveCGMulti4 -max-allocs 4
 	$(GO) run ./cmd/benchjson -guard BenchmarkSolveCGMulti64 -max-allocs 4 < .bench.guard.out
 	@rm -f .bench.guard.out
-	$(GO) test -run '^$$' -bench 'SuggestDiversifiedArena' -benchmem . | \
+	$(GO) test -run '^$$' -bench 'SuggestDiversifiedArena|TrainUPM$$|UPMFoldInDirect' -benchmem . | tee .bench.guard.out | \
 		$(GO) run ./cmd/benchjson -guard BenchmarkSuggestDiversifiedArena -max-allocs 30
+	$(GO) run ./cmd/benchjson -guard BenchmarkTrainUPM -max-allocs 2600 < .bench.guard.out
+	$(GO) run ./cmd/benchjson -guard BenchmarkUPMFoldInDirect -max-allocs 150 < .bench.guard.out
+	@rm -f .bench.guard.out
 	$(GO) test -run '^$$' -bench 'SnapshotLoadLarge' -benchmem ./internal/snapwire/ | \
 		$(GO) run ./cmd/benchjson -guard BenchmarkSnapshotLoadLarge -max-allocs 48
 

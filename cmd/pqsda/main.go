@@ -48,7 +48,7 @@ func main() {
 		budget    = flag.Int("budget", 200, "compact representation size (the paper's Q)")
 		topics    = flag.Int("topics", 10, "UPM topic count")
 		verbose   = flag.Bool("v", false, "print stage diagnostics")
-		workers   = flag.Int("workers", 1, "parallel workers for every compute stage: UPM training, the Eq. 15 CG solve, and hitting-time sweeps (results are identical at any count)")
+		workers   = flag.Int("workers", 1, "parallel workers for the Eq. 15 CG solve and the hitting-time sweeps (results are identical at any count; UPM training always uses every core)")
 		serve     = flag.String("serve", "", "serve the HTTP suggestion API on this address instead of the CLI")
 		reqTimout = flag.Duration("request-timeout", 5*time.Second, "per-request suggestion deadline for -serve (0 disables; overruns return 504)")
 		slowQuery = flag.Duration("slow-query", 250*time.Millisecond, "log the full trace of any suggestion slower than this (0 disables)")

@@ -72,3 +72,56 @@ func TestLearnUserOverridesUserID(t *testing.T) {
 		t.Fatal("profile registered under wrong ID")
 	}
 }
+
+// LearnUser folds into a copy that shares the published model's
+// per-document state, while suggestions keep reading that state. Run
+// under -race: re-learning existing users and adding new ones must not
+// write into anything a reader of an earlier snapshot can see.
+func TestLearnUserConcurrentWithSuggest(t *testing.T) {
+	w := testWorld(t)
+	e := testEngine(t, w, false)
+	users := w.UserIDs()[:4]
+	q := pickQuery(t, w)
+	before := e.Profiles()
+	theta0 := before.Theta(users[0])
+
+	stop := make(chan struct{})
+	errs := make(chan error, 2)
+	for r := 0; r < 2; r++ {
+		go func(r int) {
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					errs <- nil
+					return
+				default:
+				}
+				u := users[(i+r)%len(users)]
+				if _, err := e.Do(context.Background(), SuggestRequest{User: u, Query: q, K: 8, NoCache: i%2 == 0}); err != nil {
+					errs <- err
+					return
+				}
+				before.PreferenceScore(u, q, 0)
+			}
+		}(r)
+	}
+	for i := 0; i < 6; i++ {
+		if err := e.LearnUser(users[i%len(users)], w.Log.ByUser(users[(i+1)%len(users)])); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.LearnUser("newcomer", w.Log.ByUser(users[i%len(users)])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	for r := 0; r < 2; r++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k, p := range before.Theta(users[0]) {
+		if p != theta0[k] {
+			t.Fatalf("earlier snapshot's profile changed at topic %d: %v -> %v", k, theta0[k], p)
+		}
+	}
+}

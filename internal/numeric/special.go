@@ -62,6 +62,14 @@ func LogMultiBeta(v []float64) float64 {
 // Endpoints are clamped to avoid −Inf in timestamp likelihoods (the UPM
 // rescales timestamps into (0,1) but test sets can touch the bounds).
 func BetaLogPDF(t, a, b float64) float64 {
+	logT, log1mT := BetaLogArgs(t)
+	return BetaLogPDFFrom(logT, log1mT, a, b, LogBeta(a, b))
+}
+
+// BetaLogArgs returns log t and log(1−t) with t clamped as BetaLogPDF
+// clamps it: the per-point half of the density, which a sampler
+// scoring one timestamp under many (a, b) computes once.
+func BetaLogArgs(t float64) (logT, log1mT float64) {
 	const eps = 1e-9
 	if t < eps {
 		t = eps
@@ -69,7 +77,14 @@ func BetaLogPDF(t, a, b float64) float64 {
 	if t > 1-eps {
 		t = 1 - eps
 	}
-	return (a-1)*math.Log(t) + (b-1)*math.Log(1-t) - LogBeta(a, b)
+	return math.Log(t), math.Log(1 - t)
+}
+
+// BetaLogPDFFrom assembles BetaLogPDF(t, a, b) from BetaLogArgs(t) and
+// LogBeta(a, b) with the same floating-point operations, so the result
+// is bit-identical to BetaLogPDF.
+func BetaLogPDFFrom(logT, log1mT, a, b, logBeta float64) float64 {
+	return (a-1)*logT + (b-1)*log1mT - logBeta
 }
 
 // BetaPDF returns the density of Beta(a, b) at t.

@@ -28,9 +28,8 @@ import (
 type Histogram struct {
 	bounds  []float64
 	buckets []atomic.Uint64 // len(bounds)+1; last = overflow (+Inf)
-	count   atomic.Uint64
-	sumBits atomic.Uint64 // math.Float64bits of the running sum
-	maxBits atomic.Uint64 // math.Float64bits of the running max
+	sumBits atomic.Uint64   // math.Float64bits of the running sum
+	maxBits atomic.Uint64   // math.Float64bits of the running max
 
 	// exemplars, when EnableExemplars was called, holds one recent
 	// occupant per bucket (len(bounds)+1, aligned with buckets). A slot
@@ -92,7 +91,6 @@ func (h *Histogram) observe(v float64) int {
 	}
 	i := sort.SearchFloat64s(h.bounds, v) // first bound ≥ v, overflow otherwise
 	h.buckets[i].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sumBits.Load()
 		if h.sumBits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+v)) {
@@ -137,7 +135,6 @@ func (h *Histogram) Reset() {
 	for i := range h.buckets {
 		h.buckets[i].Store(0)
 	}
-	h.count.Store(0)
 	h.sumBits.Store(0)
 	h.maxBits.Store(0)
 	for i := range h.exemplars {
@@ -163,17 +160,19 @@ type Snapshot struct {
 
 // Snapshot copies the current state. Buckets are read individually, so
 // a snapshot taken under concurrent writes may be off by in-flight
-// observations — fine for monitoring.
+// observations — fine for monitoring. Count is the sum of the bucket
+// counts read, so it always equals the cumulative +Inf bucket, even
+// when an observation races a Reset.
 func (h *Histogram) Snapshot() Snapshot {
 	s := Snapshot{
 		Bounds: h.bounds,
 		Counts: make([]uint64, len(h.buckets)),
-		Count:  h.count.Load(),
 		Sum:    math.Float64frombits(h.sumBits.Load()),
 		Max:    math.Float64frombits(h.maxBits.Load()),
 	}
 	for i := range h.buckets {
 		s.Counts[i] = h.buckets[i].Load()
+		s.Count += s.Counts[i]
 	}
 	if h.exemplars != nil {
 		s.Exemplars = make([]*Exemplar, len(h.exemplars))

@@ -2,6 +2,8 @@ package topicmodel
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"repro/internal/arena"
@@ -318,62 +320,25 @@ func thawRow(ptr, idx []int64, val []float64, r int) map[int]float64 {
 	return mm
 }
 
-// Clone deep-copies the model: the copy shares no mutable state with
-// the original, so FoldIn on one never races with reads of the other.
-// Cloning an arena-backed model thaws the copy into the mutable form
-// (the original stays flat); the arena itself is never written.
+// Clone returns a model FoldIn can extend or overwrite without
+// disturbing the original. Only the per-document tables are copied
+// (O(documents)): the learned priors and every document's count state
+// are shared, which is safe because a trained model never writes them
+// again — FoldIn publishes a fresh state for the document it folds. Cloning an
+// arena-backed model thaws the copy into the mutable form (the
+// original stays flat); the arena itself is never written.
 func (m *UPM) Clone() *UPM {
-	out := &UPM{cfg: m.cfg, v: m.v, u: m.u}
+	out := *m
 	if m.flat != nil {
-		out.flat = m.flat
 		out.thaw()
-		return out
+		return &out
 	}
-	out.alpha = append([]float64(nil), m.alpha...)
-	out.betaSum = append([]float64(nil), m.betaSum...)
-	out.deltaSum = append([]float64(nil), m.deltaSum...)
-	out.betaPrior = make([][]float64, len(m.betaPrior))
-	for k := range m.betaPrior {
-		out.betaPrior[k] = append([]float64(nil), m.betaPrior[k]...)
-	}
-	out.deltaPrior = make([][]float64, len(m.deltaPrior))
-	for k := range m.deltaPrior {
-		out.deltaPrior[k] = append([]float64(nil), m.deltaPrior[k]...)
-	}
-	out.tau = append([][2]float64(nil), m.tau...)
-	out.ndk = make([][]float64, len(m.ndk))
-	for d := range m.ndk {
-		out.ndk[d] = append([]float64(nil), m.ndk[d]...)
-	}
-	out.ndkSum = append([]float64(nil), m.ndkSum...)
-	out.nkwd = cloneCounts(m.nkwd)
-	out.nkud = cloneCounts(m.nkud)
-	out.nkwdSum = make([][]float64, len(m.nkwdSum))
-	for d := range m.nkwdSum {
-		out.nkwdSum[d] = append([]float64(nil), m.nkwdSum[d]...)
-	}
-	out.nkudSum = make([][]float64, len(m.nkudSum))
-	for d := range m.nkudSum {
-		out.nkudSum[d] = append([]float64(nil), m.nkudSum[d]...)
-	}
-	out.docID = make(map[string]int, len(m.docID))
-	for id, d := range m.docID {
-		out.docID[id] = d
-	}
-	return out
-}
-
-func cloneCounts(counts [][]map[int]float64) [][]map[int]float64 {
-	out := make([][]map[int]float64, len(counts))
-	for d := range counts {
-		out[d] = make([]map[int]float64, len(counts[d]))
-		for k, mm := range counts[d] {
-			cp := make(map[int]float64, len(mm))
-			for j, v := range mm {
-				cp[j] = v
-			}
-			out[d][k] = cp
-		}
-	}
-	return out
+	out.ndk = slices.Clone(m.ndk)
+	out.ndkSum = slices.Clone(m.ndkSum)
+	out.nkwd = slices.Clone(m.nkwd)
+	out.nkwdSum = slices.Clone(m.nkwdSum)
+	out.nkud = slices.Clone(m.nkud)
+	out.nkudSum = slices.Clone(m.nkudSum)
+	out.docID = maps.Clone(m.docID)
+	return &out
 }

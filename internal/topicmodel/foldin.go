@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/numeric"
 	"repro/internal/querylog"
 )
 
@@ -19,11 +18,20 @@ import (
 // The model is extended in place: the returned document index d serves
 // Theta(d), WordProb(d, …) and PredictiveWordProb(d, …) like any
 // trained document, and DocOf(userID) resolves it. Folding in a user
-// ID that already exists replaces that user's document statistics.
+// ID that already exists replaces that user's document statistics. The
+// document's state is built fresh and swapped in, so FoldIn on a Clone
+// never writes into state the original shares.
 //
 // iterations is the number of Gibbs sweeps over the new document
 // (default 20 when ≤ 0).
 func (m *UPM) FoldIn(userID string, sessions []Session, iterations int, seed int64) int {
+	d, _ := m.foldIn(userID, sessions, iterations, seed)
+	return d
+}
+
+// foldIn is FoldIn; it also returns the final session topics of the
+// in-vocabulary sessions.
+func (m *UPM) foldIn(userID string, sessions []Session, iterations int, seed int64) (int, []int) {
 	if iterations <= 0 {
 		iterations = 20
 	}
@@ -33,34 +41,52 @@ func (m *UPM) FoldIn(userID string, sessions []Session, iterations int, seed int
 	m.thaw()
 	rng := rand.New(rand.NewSource(seed))
 
+	g := newGibbsDoc(m.inVocabulary(sessions), m.cfg.K)
+	if len(g.z) > 0 {
+		p := m.gibbsPriors()
+		logw := make([]float64, m.cfg.K)
+		// Greedy anchored initialization: before the document
+		// accumulates its own counts, assign each session to the topic
+		// the LEARNED priors (β, δ, τ) explain best. Random
+		// initialization would let the per-document emissions
+		// self-reinforce an arbitrary labeling; anchoring first keeps
+		// the fold-in in the trained topic space.
+		for s := range g.z {
+			g.logWeights(p, s, logw)
+			best := 0
+			for k := 1; k < m.cfg.K; k++ {
+				if logw[k] > logw[best] {
+					best = k
+				}
+			}
+			g.z[s] = best
+			g.add(s, best, 1)
+		}
+		for it := 0; it < iterations; it++ {
+			g.sweep(p, rng, logw)
+		}
+	}
+
 	d, exists := m.docID[userID]
 	if !exists {
 		d = len(m.ndk)
 		m.docID[userID] = d
-		m.ndk = append(m.ndk, make([]float64, m.cfg.K))
+		m.ndk = append(m.ndk, nil)
 		m.ndkSum = append(m.ndkSum, 0)
-		m.nkwd = append(m.nkwd, make([]map[int]float64, m.cfg.K))
-		m.nkwdSum = append(m.nkwdSum, make([]float64, m.cfg.K))
-		m.nkud = append(m.nkud, make([]map[int]float64, m.cfg.K))
-		m.nkudSum = append(m.nkudSum, make([]float64, m.cfg.K))
-		for k := 0; k < m.cfg.K; k++ {
-			m.nkwd[d][k] = make(map[int]float64)
-			m.nkud[d][k] = make(map[int]float64)
-		}
-	} else {
-		// Replace: clear the old statistics.
-		for k := 0; k < m.cfg.K; k++ {
-			m.ndk[d][k] = 0
-			m.nkwd[d][k] = make(map[int]float64)
-			m.nkwdSum[d][k] = 0
-			m.nkud[d][k] = make(map[int]float64)
-			m.nkudSum[d][k] = 0
-		}
-		m.ndkSum[d] = 0
+		m.nkwd = append(m.nkwd, nil)
+		m.nkwdSum = append(m.nkwdSum, nil)
+		m.nkud = append(m.nkud, nil)
+		m.nkudSum = append(m.nkudSum, nil)
 	}
+	g.publish(m, d)
+	return d, g.z
+}
 
-	// Drop tokens outside the trained vocabularies: the fold-in cannot
-	// grow β/δ, and unseen words carry no topic signal anyway.
+// inVocabulary drops tokens outside the trained vocabularies (the
+// fold-in cannot grow β/δ, and unseen words carry no topic signal
+// anyway), then events and sessions left empty; timestamps are clamped
+// into [0, 1].
+func (m *UPM) inVocabulary(sessions []Session) []Session {
 	clean := make([]Session, 0, len(sessions))
 	for _, sess := range sessions {
 		ns := Session{Time: clampUnit(sess.Time)}
@@ -82,43 +108,7 @@ func (m *UPM) FoldIn(userID string, sessions []Session, iterations int, seed int
 			clean = append(clean, ns)
 		}
 	}
-	if len(clean) == 0 {
-		return d
-	}
-
-	// Greedy anchored initialization: before the document accumulates
-	// its own counts, assign each session to the topic the LEARNED
-	// priors (β, δ, τ) explain best. Random initialization would let
-	// the per-document emissions self-reinforce an arbitrary labeling;
-	// anchoring first keeps the fold-in in the trained topic space.
-	z := make([]int, len(clean))
-	logw := make([]float64, m.cfg.K)
-	for s, sess := range clean {
-		for k := 0; k < m.cfg.K; k++ {
-			logw[k] = m.sessionLogWeight(d, k, sess)
-		}
-		best := 0
-		for k := 1; k < m.cfg.K; k++ {
-			if logw[k] > logw[best] {
-				best = k
-			}
-		}
-		z[s] = best
-		m.addSession(d, best, sess, 1)
-	}
-	for it := 0; it < iterations; it++ {
-		for s, sess := range clean {
-			old := z[s]
-			m.addSession(d, old, sess, -1)
-			for k := 0; k < m.cfg.K; k++ {
-				logw[k] = m.sessionLogWeight(d, k, sess)
-			}
-			k := numeric.SampleLogCategorical(rng, logw)
-			z[s] = k
-			m.addSession(d, k, sess, 1)
-		}
-	}
-	return d
+	return clean
 }
 
 func clampUnit(t float64) float64 {

@@ -122,3 +122,61 @@ func numericSum(v []float64) float64 {
 	}
 	return s
 }
+
+// Re-learning an existing user (and adding a new one) on a Clone leaves
+// every profile of the original bitwise unchanged: FoldIn publishes
+// fresh state instead of writing into the document state the clone
+// shares with the original.
+func TestFoldInOnCloneLeavesOriginal(t *testing.T) {
+	c := synthCorpus(t)
+	m := trainedUPM(t, c)
+	type profile struct{ theta, words, urls []float64 }
+	snapshot := func(m *UPM) []profile {
+		out := make([]profile, m.NumDocs())
+		for d := range out {
+			out[d].theta = m.Theta(d)
+			for k := 0; k < m.K(); k++ {
+				for w := 0; w < c.V(); w++ {
+					out[d].words = append(out[d].words, m.WordProb(d, k, w))
+				}
+				for u := 0; u < c.U(); u++ {
+					out[d].urls = append(out[d].urls, m.URLProb(d, k, u))
+				}
+			}
+		}
+		return out
+	}
+	before := snapshot(m)
+
+	user := c.Docs[1].UserID
+	cl := m.Clone()
+	d := cl.FoldIn(user, c.Docs[2].Sessions, 20, 5)
+	cl.FoldIn("newcomer", c.Docs[3].Sessions, 20, 6)
+	if got, _ := m.DocOf(user); got != d {
+		t.Fatalf("DocOf(%s) = %d, want %d", user, got, d)
+	}
+	if _, ok := m.DocOf("newcomer"); ok || m.NumDocs() != len(before) {
+		t.Fatal("fold-in of a new user on the clone reached the original")
+	}
+	after := snapshot(m)
+	for dd := range before {
+		for _, pair := range [][2][]float64{
+			{before[dd].theta, after[dd].theta},
+			{before[dd].words, after[dd].words},
+			{before[dd].urls, after[dd].urls},
+		} {
+			for i := range pair[0] {
+				if math.Float64bits(pair[0][i]) != math.Float64bits(pair[1][i]) {
+					t.Fatalf("doc %d: original profile changed at %d: %v -> %v", dd, i, pair[0][i], pair[1][i])
+				}
+			}
+		}
+	}
+	changed := false
+	for k, p := range cl.Theta(d) {
+		changed = changed || p != before[d].theta[k]
+	}
+	if !changed {
+		t.Fatal("re-learning on the clone did not change the clone's profile")
+	}
+}

@@ -1,8 +1,8 @@
 package topicmodel
 
 import (
-	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -72,13 +72,11 @@ type UPMConfig struct {
 	HyperIters int
 	// Seed drives the sampler.
 	Seed int64
-	// Workers parallelizes the Gibbs sweep across user documents
-	// (default 1 = sequential). Unlike LDA — whose topic–word counts
-	// are global, making parallel Gibbs approximate (the paper's [31])
-	// — every UPM count structure is per-document, so the per-sweep
-	// document loop is EXACTLY parallel given the sweep's fixed
-	// hyperparameters. Results are identical for any worker count:
-	// every document samples from its own deterministic RNG stream.
+	// Workers is stored with the model but governs nothing: TrainUPM
+	// always fans the per-document sweep out over runtime.GOMAXPROCS(0)
+	// goroutines, with results identical at any count.
+	//
+	// Deprecated: leave unset.
 	Workers int
 }
 
@@ -107,89 +105,100 @@ func (c UPMConfig) withDefaults() UPMConfig {
 		c.HyperIters = 15
 	}
 	if c.Workers <= 0 {
-		c.Workers = 1
+		c.Workers = 1 // only stored: the saved upm-config section carries it
 	}
 	return c
 }
 
-// TrainUPM fits the UPM on the corpus. Sampling parallelizes across
-// documents when cfg.Workers > 1 with bit-identical results (every
-// document owns an independent RNG stream, and all Gibbs state is
-// per-document; hyperparameters are only updated at sweep barriers).
+// TrainUPM fits the UPM on the corpus. Unlike LDA — whose topic–word
+// counts are global, making parallel Gibbs approximate (the paper's
+// [31]) — every UPM count structure is per-document, so the sweep's
+// document loop is EXACTLY parallel given the sweep's fixed
+// hyperparameters. TrainUPM fans it out over runtime.GOMAXPROCS(0)
+// goroutines; the result is bit-identical at any count because every
+// document samples from its own deterministic RNG stream and
+// hyperparameters change only at sweep barriers.
 func TrainUPM(c *Corpus, cfg UPMConfig) *UPM {
+	m, _ := trainUPM(c, cfg, runtime.GOMAXPROCS(0))
+	return m
+}
+
+// trainUPM is TrainUPM with an explicit fan-out; it also returns the
+// final session-topic assignments z[d][s].
+func trainUPM(c *Corpus, cfg UPMConfig, workers int) (*UPM, [][]int) {
 	cfg = cfg.withDefaults()
 	m := newUPM(c, cfg)
 
 	// Per-document RNG streams: the sampling of document d is a pure
 	// function of (seed, d, corpus), independent of worker scheduling.
 	docRngs := make([]*rand.Rand, len(c.Docs))
-	for d := range docRngs {
-		docRngs[d] = rand.New(rand.NewSource(cfg.Seed<<20 + int64(d)))
-	}
-
-	// Session-level assignments z[d][s].
+	docs := make([]*gibbsDoc, len(c.Docs))
 	z := make([][]int, len(c.Docs))
 	for d, doc := range c.Docs {
-		z[d] = make([]int, len(doc.Sessions))
-		for s, sess := range doc.Sessions {
+		docRngs[d] = rand.New(rand.NewSource(cfg.Seed<<20 + int64(d)))
+		g := newGibbsDoc(doc.Sessions, cfg.K)
+		for s := range g.z {
 			k := docRngs[d].Intn(cfg.K)
-			z[d][s] = k
-			m.addSession(d, k, sess, 1)
+			g.z[s] = k
+			g.add(s, k, 1)
 		}
+		docs[d], z[d] = g, g.z
 	}
 
 	hyperAt := make(map[int]bool)
 	for r := 1; r <= cfg.HyperRounds; r++ {
 		hyperAt[cfg.Iterations*r/cfg.HyperRounds-1] = true
 	}
-
-	sweepDoc := func(d int, logw []float64) {
-		doc := c.Docs[d]
-		for s, sess := range doc.Sessions {
-			old := z[d][s]
-			m.addSession(d, old, sess, -1)
-			for k := 0; k < cfg.K; k++ {
-				logw[k] = m.sessionLogWeight(d, k, sess)
-			}
-			k := numeric.SampleLogCategorical(docRngs[d], logw)
-			z[d][s] = k
-			m.addSession(d, k, sess, 1)
-		}
+	if workers < 1 || len(docs) < 2*workers {
+		workers = 1
 	}
-
+	logws := make([][]float64, workers)
+	for w := range logws {
+		logws[w] = make([]float64, cfg.K)
+	}
+	p := m.gibbsPriors()
+	samples := make([][]float64, cfg.K)
 	for it := 0; it < cfg.Iterations; it++ {
-		if cfg.Workers == 1 || len(c.Docs) < 2*cfg.Workers {
-			logw := make([]float64, cfg.K)
-			for d := range c.Docs {
-				sweepDoc(d, logw)
+		if workers == 1 {
+			for d, g := range docs {
+				g.sweep(p, docRngs[d], logws[0])
 			}
 		} else {
 			var wg sync.WaitGroup
-			next := int64(-1)
-			for w := 0; w < cfg.Workers; w++ {
+			var next atomic.Int64
+			for w := 0; w < workers; w++ {
 				wg.Add(1)
-				go func() {
+				go func(logw []float64) {
 					defer wg.Done()
-					logw := make([]float64, cfg.K)
 					for {
-						d := int(atomic.AddInt64(&next, 1))
-						if d >= len(c.Docs) {
+						d := int(next.Add(1) - 1)
+						if d >= len(docs) {
 							return
 						}
-						sweepDoc(d, logw)
+						docs[d].sweep(p, docRngs[d], logw)
 					}
-				}()
+				}(logws[w])
 			}
 			wg.Wait()
 		}
-		m.refitTau(c, z)
+		m.refitTau(c, z, samples)
+		p.refresh()
+		if hyperAt[it] || it == cfg.Iterations-1 {
+			// The hyperparameter objectives read the published counts.
+			for d, g := range docs {
+				g.publish(m, d)
+			}
+		}
 		if hyperAt[it] {
 			m.optimizeHyperparameters()
 		}
 	}
-	return m
+	return m, z
 }
 
+// newUPM returns a model with initial hyperparameters and one document
+// slot per corpus document; the per-document counts are left for the
+// sampler to publish.
 func newUPM(c *Corpus, cfg UPMConfig) *UPM {
 	m := &UPM{
 		cfg: cfg, v: c.V(), u: c.U(),
@@ -223,67 +232,17 @@ func newUPM(c *Corpus, cfg UPMConfig) *UPM {
 	}
 	for d, doc := range c.Docs {
 		m.docID[doc.UserID] = d
-		m.ndk[d] = make([]float64, cfg.K)
-		m.nkwd[d] = make([]map[int]float64, cfg.K)
-		m.nkwdSum[d] = make([]float64, cfg.K)
-		m.nkud[d] = make([]map[int]float64, cfg.K)
-		m.nkudSum[d] = make([]float64, cfg.K)
-		for k := 0; k < cfg.K; k++ {
-			m.nkwd[d][k] = make(map[int]float64)
-			m.nkud[d][k] = make(map[int]float64)
-		}
 	}
 	return m
 }
 
-func (m *UPM) addSession(d, k int, sess Session, delta float64) {
-	m.ndk[d][k] += delta
-	m.ndkSum[d] += delta
-	for _, w := range sess.Words() {
-		m.nkwd[d][k][w] += delta
-		if m.nkwd[d][k][w] == 0 {
-			delete(m.nkwd[d][k], w)
-		}
-		m.nkwdSum[d][k] += delta
-	}
-	for _, u := range sess.URLs() {
-		m.nkud[d][k][u] += delta
-		if m.nkud[d][k][u] == 0 {
-			delete(m.nkud[d][k], u)
-		}
-		m.nkudSum[d][k] += delta
-	}
-}
-
-// sessionLogWeight is the collapsed Gibbs conditional (Eq. 23) for
-// assigning the session to topic k: the doc-mixture factor, the
-// sequential Dirichlet-multinomial probability of the session's words
-// under φ_kd (prior β_k), likewise for URLs under Ω_kd (prior δ_k), and
-// the Beta timestamp density.
-func (m *UPM) sessionLogWeight(d, k int, sess Session) float64 {
-	lw := math.Log(m.ndk[d][k] + m.alpha[k])
-	wSum := m.nkwdSum[d][k]
-	bumpW := make(map[int]float64)
-	for _, w := range sess.Words() {
-		lw += math.Log((m.nkwd[d][k][w] + bumpW[w] + m.betaPrior[k][w]) / (wSum + m.betaSum[k]))
-		bumpW[w]++
-		wSum++
-	}
-	uSum := m.nkudSum[d][k]
-	bumpU := make(map[int]float64)
-	for _, u := range sess.URLs() {
-		lw += math.Log((m.nkud[d][k][u] + bumpU[u] + m.deltaPrior[k][u]) / (uSum + m.deltaSum[k]))
-		bumpU[u]++
-		uSum++
-	}
-	lw += numeric.BetaLogPDF(sess.Time, m.tau[k][0], m.tau[k][1])
-	return lw
-}
-
 // refitTau re-estimates τ_k (Eqs. 28–29) from the timestamps of
-// sessions currently on topic k.
-func (m *UPM) refitTau(c *Corpus, z [][]int) {
-	samples := make([][]float64, m.cfg.K)
+// sessions currently on topic k. samples is per-topic scratch (K
+// slices, reused across calls).
+func (m *UPM) refitTau(c *Corpus, z [][]int, samples [][]float64) {
+	for k := range samples {
+		samples[k] = samples[k][:0]
+	}
 	for d, doc := range c.Docs {
 		for s := range doc.Sessions {
 			k := z[d][s]

@@ -37,41 +37,38 @@ func (m *UPM) optimizeHyperparameters() {
 	}
 
 	// --- β_k (Eq. 26) and δ_k (Eq. 27): per-topic priors of the
-	// per-document emission Dirichlets.
+	// per-document emission Dirichlets. The counts are read as CSR with
+	// ascending ids, so the objective sums in a fixed order.
+	words := newPriorCounts(m.nkwd, m.nkwdSum, m.cfg.K)
+	urls := newPriorCounts(m.nkud, m.nkudSum, m.cfg.K)
 	for k := 0; k < m.cfg.K; k++ {
-		m.optimizeEmissionPrior(opt, k, true)
+		optimizeEmissionPrior(opt, m.betaPrior[k], words, k)
 		if m.u > 0 {
-			m.optimizeEmissionPrior(opt, k, false)
+			optimizeEmissionPrior(opt, m.deltaPrior[k], urls, k)
 		}
 		m.betaSum[k] = numeric.Sum(m.betaPrior[k])
 		m.deltaSum[k] = numeric.Sum(m.deltaPrior[k])
 	}
 }
 
-// optimizeEmissionPrior maximizes Σ_d [ log DirMult(C_k·d | prior) ] in
-// the prior vector for topic k; words when isBeta, URLs otherwise.
-func (m *UPM) optimizeEmissionPrior(opt numeric.LBFGS, k int, isBeta bool) {
-	var prior []float64
-	var counts []map[int]float64
-	var sums []float64
-	if isBeta {
-		prior = m.betaPrior[k]
-		counts = make([]map[int]float64, len(m.nkwd))
-		sums = make([]float64, len(m.nkwd))
-		for d := range m.nkwd {
-			counts[d] = m.nkwd[d][k]
-			sums[d] = m.nkwdSum[d][k]
-		}
-	} else {
-		prior = m.deltaPrior[k]
-		counts = make([]map[int]float64, len(m.nkud))
-		sums = make([]float64, len(m.nkud))
-		for d := range m.nkud {
-			counts[d] = m.nkud[d][k]
-			sums[d] = m.nkudSum[d][k]
-		}
-	}
+// priorCounts holds every document's per-topic emission counts for the
+// prior objectives: CSR rows r = d*K + k with ascending ids.
+type priorCounts struct {
+	k    int
+	ptr  []int64
+	idx  []int64
+	val  []float64
+	sums [][]float64 // [d][k] row totals
+}
 
+func newPriorCounts(counts [][]map[int]float64, sums [][]float64, k int) priorCounts {
+	ptr, idx, val := flattenCounts(counts, k)
+	return priorCounts{k: k, ptr: ptr, idx: idx, val: val, sums: sums}
+}
+
+// optimizeEmissionPrior maximizes Σ_d [ log DirMult(C_k·d | prior) ] in
+// topic k's prior vector (β_k for word counts, δ_k for URL counts).
+func optimizeEmissionPrior(opt numeric.LBFGS, prior []float64, counts priorCounts, k int) {
 	// Gamma(a0, b0) prior on every coordinate (MAP instead of bare MLE):
 	// the likelihood alone is maximized by driving coordinates of words
 	// unseen in any document toward 0 and perfectly-consistent ones
@@ -90,13 +87,15 @@ func (m *UPM) optimizeEmissionPrior(opt numeric.LBFGS, k int, isBeta bool) {
 		// Gradient terms that touch every coordinate are accumulated
 		// once per document; per-word terms only touch observed words.
 		commonGrad := 0.0
-		for d := range counts {
-			if sums[d] == 0 {
+		for d, sums := range counts.sums {
+			if sums[k] == 0 {
 				continue // document contributes Γ-ratios that cancel
 			}
-			v += lgSumP - numeric.Lgamma(sumP+sums[d])
-			commonGrad += digSumP - numeric.Digamma(sumP+sums[d])
-			for w, c := range counts[d] {
+			v += lgSumP - numeric.Lgamma(sumP+sums[k])
+			commonGrad += digSumP - numeric.Digamma(sumP+sums[k])
+			r := d*counts.k + k
+			for i := counts.ptr[r]; i < counts.ptr[r+1]; i++ {
+				w, c := counts.idx[i], counts.val[i]
 				v += numeric.Lgamma(p[w]+c) - numeric.Lgamma(p[w])
 				grad[w] += numeric.Digamma(p[w]+c) - numeric.Digamma(p[w])
 			}

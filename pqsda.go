@@ -91,11 +91,12 @@ type Config struct {
 	TrainingIterations int
 	// Seed drives every stochastic component (sampler initialization).
 	Seed int64
-	// Workers parallelizes all three compute stages: UPM training
-	// across user documents, the Eq. 15 CG solve's mat-vec across
-	// matrix rows, and the hitting-time sweeps of the diversification
-	// stage across matrix rows (0/1 = sequential; results are
-	// bit-identical at any worker count).
+	// Workers parallelizes the serving kernels: the Eq. 15 CG solve's
+	// mat-vec across matrix rows and the hitting-time sweeps of the
+	// diversification stage across matrix rows (0/1 = sequential;
+	// results are bit-identical at any worker count). UPM training
+	// always uses every core (GOMAXPROCS) and is bit-identical at any
+	// core count.
 	Workers int
 	// DiversificationOnly skips user profiling: Suggest returns the
 	// diversified ranking unchanged (the intermediate system of the
